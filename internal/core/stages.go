@@ -23,6 +23,36 @@ type opExec struct {
 	// Baseline); shuffle decisions get a cache-less client, because their
 	// group lookups are already deduplicated by the shuffle.
 	clients []*ixclient.Client
+
+	ctr opCounters
+}
+
+// opCounters are the operator's per-record counter handles, resolved from
+// their names once per compiled plan so no record builds a name.
+type opCounters struct {
+	preIn, preInBytes, preOutBytes   mapreduce.Counter
+	idxBytes, postRecords, postBytes mapreduce.Counter
+	carrierErrors                    mapreduce.Counter
+	// multi is indexed by the index's position in the operator.
+	multi []mapreduce.Counter
+}
+
+func newOpCounters(op *Operator) opCounters {
+	name := op.Name()
+	c := opCounters{
+		preIn:         mapreduce.CounterFor(ctrPreIn(name)),
+		preInBytes:    mapreduce.CounterFor(ctrPreInBytes(name)),
+		preOutBytes:   mapreduce.CounterFor(ctrPreOutBytes(name)),
+		idxBytes:      mapreduce.CounterFor(ctrIdxBytes(name)),
+		postRecords:   mapreduce.CounterFor(ctrPostRecords(name)),
+		postBytes:     mapreduce.CounterFor(ctrPostBytes(name)),
+		carrierErrors: mapreduce.CounterFor(ctrCarrierErrors(name)),
+		multi:         make([]mapreduce.Counter, op.NumIndices()),
+	}
+	for j, a := range op.Indices() {
+		c.multi[j] = mapreduce.CounterFor(ctrMulti(name, a.Name()))
+	}
+	return c
 }
 
 func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
@@ -30,6 +60,7 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
 		op:      op,
 		plan:    plan,
 		clients: make([]*ixclient.Client, len(plan.Decisions)),
+		ctr:     newOpCounters(op),
 	}
 	if conf.Batch {
 		x.batchSize = conf.BatchSize
@@ -97,28 +128,28 @@ func (x *opExec) lookupInline(ctx *mapreduce.TaskContext, pos int, ik string) []
 // flags records with more than one key for any index (re-partitioning
 // feasibility).
 func (x *opExec) runPreInstrumented(ctx *mapreduce.TaskContext, in Pair) *carrier {
-	op := x.op.Name()
-	ctx.Inc(ctrPreIn(op), 1)
-	ctx.Inc(ctrPreInBytes(op), int64(in.Size()))
+	ctx.Add(x.ctr.preIn, 1)
+	ctx.Add(x.ctr.preInBytes, int64(in.Size()))
 	pr := x.op.runPre(in)
 	c := &carrier{
 		Pair:    pr.Pair,
 		Keys:    pr.Keys,
 		Results: make([][]KeyResult, x.op.NumIndices()),
 	}
-	ctx.Inc(ctrPreOutBytes(op), int64(c.size()))
+	ctx.Add(x.ctr.preOutBytes, int64(c.size()))
 	for j, ks := range pr.Keys {
-		if len(ks) > 1 && j < x.op.NumIndices() {
-			ctx.Inc(ctrMulti(op, x.op.Indices()[j].Name()), 1)
+		if len(ks) > 1 && j < len(x.ctr.multi) {
+			ctx.Add(x.ctr.multi[j], 1)
 		}
 	}
 	return c
 }
 
 // finishCarrier performs the inline lookups for decisions[startPos:] and
-// runs postProcess, emitting (k2, v2) pairs. Decisions before startPos
+// runs postProcess, emitting (k2, v2) pairs into out, the stage's
+// post-record counting emit (see emitPost). Decisions before startPos
 // must already have results attached (by shuffle jobs).
-func (x *opExec) finishCarrier(ctx *mapreduce.TaskContext, c *carrier, startPos int, emit Emit) {
+func (x *opExec) finishCarrier(ctx *mapreduce.TaskContext, c *carrier, startPos int, out Emit) {
 	for pos := startPos; pos < len(x.plan.Decisions); pos++ {
 		d := x.plan.Decisions[pos]
 		if d.Index >= len(c.Keys) {
@@ -131,18 +162,44 @@ func (x *opExec) finishCarrier(ctx *mapreduce.TaskContext, c *carrier, startPos 
 		}
 		c.Results[d.Index] = results
 	}
-	x.emitPost(ctx, c, emit)
+	x.emitPost(ctx, c, out)
 }
 
-// emitPost charges the carrier's post-lookup size and runs postProcess.
-func (x *opExec) emitPost(ctx *mapreduce.TaskContext, c *carrier, emit Emit) {
-	op := x.op.Name()
-	ctx.Inc(ctrIdxBytes(op), int64(c.size()))
-	x.op.runPost(c.Pair, c.Results, func(p Pair) {
-		ctx.Inc(ctrPostRecords(op), 1)
-		ctx.Inc(ctrPostBytes(op), int64(p.Size()))
-		emit(p)
-	})
+// emitPost charges the carrier's post-lookup size and runs postProcess
+// into out, which must be the stage's countingEmit over the post-record
+// counters, so each output record is counted.
+func (x *opExec) emitPost(ctx *mapreduce.TaskContext, c *carrier, out Emit) {
+	ctx.Add(x.ctr.idxBytes, int64(c.size()))
+	x.op.runPost(c.Pair, c.Results, out)
+}
+
+// countingEmit forwards records downstream, counting each one and its
+// size on the current task. A stage builds one per instance and points it
+// at the task and downstream emit of each call (to), so the per-record
+// path binds no new closure.
+type countingEmit struct {
+	records, bytes mapreduce.Counter
+	ctx            *mapreduce.TaskContext
+	next           Emit
+	emit           Emit // forward, bound once
+}
+
+func newCountingEmit(records, bytes mapreduce.Counter) *countingEmit {
+	e := &countingEmit{records: records, bytes: bytes}
+	e.emit = e.forward
+	return e
+}
+
+// to points the emit at a task and its downstream emit and returns it.
+func (e *countingEmit) to(ctx *mapreduce.TaskContext, next Emit) Emit {
+	e.ctx, e.next = ctx, next
+	return e.emit
+}
+
+func (e *countingEmit) forward(p Pair) {
+	e.ctx.Add(e.records, 1)
+	e.ctx.Add(e.bytes, int64(p.Size()))
+	e.next(p)
 }
 
 // inlineStage builds the fully chained stage for an operator whose plan
@@ -154,10 +211,11 @@ func (x *opExec) inlineStage() mapreduce.StageFactory {
 		return x.batchedInlineStage()
 	}
 	return func(node sim.NodeID) mapreduce.Stage {
+		post := newCountingEmit(x.ctr.postRecords, x.ctr.postBytes)
 		return &mapreduce.FuncStage{
 			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
 				c := x.runPreInstrumented(ctx, in)
-				x.finishCarrier(ctx, c, 0, emit)
+				x.finishCarrier(ctx, c, 0, post.to(ctx, emit))
 			},
 		}
 	}
@@ -173,6 +231,7 @@ func (x *opExec) inlineStage() mapreduce.StageFactory {
 func (x *opExec) batchedInlineStage() mapreduce.StageFactory {
 	return func(node sim.NodeID) mapreduce.Stage {
 		var buf []*carrier
+		post := newCountingEmit(x.ctr.postRecords, x.ctr.postBytes)
 		flush := func(ctx *mapreduce.TaskContext, emit Emit) {
 			if len(buf) == 0 {
 				return
@@ -206,8 +265,9 @@ func (x *opExec) batchedInlineStage() mapreduce.StageFactory {
 					c.Results[d.Index] = results
 				}
 			}
+			out := post.to(ctx, emit)
 			for _, c := range buf {
-				x.emitPost(ctx, c, emit)
+				x.emitPost(ctx, c, out)
 			}
 			buf = buf[:0]
 		}
@@ -233,11 +293,12 @@ func (x *opExec) resumeStage(pos int, memoFirst bool) mapreduce.StageFactory {
 		var memoKey string
 		var memoVals []string
 		var memoValid bool
+		post := newCountingEmit(x.ctr.postRecords, x.ctr.postBytes)
 		return &mapreduce.FuncStage{
 			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
 				c, err := decodeCarrier(in.Value)
 				if err != nil {
-					ctx.Inc("efind."+x.op.Name()+".carrier.errors", 1)
+					ctx.Add(x.ctr.carrierErrors, 1)
 					return
 				}
 				next := pos
@@ -256,7 +317,7 @@ func (x *opExec) resumeStage(pos int, memoFirst bool) mapreduce.StageFactory {
 					}
 					next = pos + 1
 				}
-				x.finishCarrier(ctx, c, next, emit)
+				x.finishCarrier(ctx, c, next, post.to(ctx, emit))
 			},
 		}
 	}
@@ -276,7 +337,7 @@ func (x *opExec) shuffleEmitStage(pos int, carrierIn bool) mapreduce.StageFactor
 					var err error
 					c, err = decodeCarrier(in.Value)
 					if err != nil {
-						ctx.Inc("efind."+x.op.Name()+".carrier.errors", 1)
+						ctx.Add(x.ctr.carrierErrors, 1)
 						return
 					}
 				} else {
@@ -339,7 +400,7 @@ func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, contin
 		for _, v := range values {
 			c, err := decodeCarrier(v)
 			if err != nil {
-				ctx.Inc("efind."+x.op.Name()+".carrier.errors", 1)
+				ctx.Add(x.ctr.carrierErrors, 1)
 				continue
 			}
 			if doLookup && d.Index < len(c.Results) {
@@ -406,6 +467,9 @@ func (p *reducePipe) close() {
 // and counts records, staged splits, and charged nanoseconds.
 func buildStage(bt *buildTarget) mapreduce.StageFactory {
 	op, ix := bt.op, bt.b.Name()
+	records := mapreduce.CounterFor(ctrBuildRecords(op, ix))
+	chargeNS := mapreduce.CounterFor(ctrBuildNS(op, ix))
+	splits := mapreduce.CounterFor(ctrBuildSplits(op, ix))
 	return func(node sim.NodeID) mapreduce.Stage {
 		var entries []index.BuildEntry
 		active := false
@@ -422,15 +486,15 @@ func buildStage(bt *buildTarget) mapreduce.StageFactory {
 					entries = append(entries, bt.b.Extract(in.Key, in.Value)...)
 					charge := bt.b.BuildCharge()
 					ctx.Charge(charge)
-					ctx.Inc(ctrBuildRecords(op, ix), 1)
-					ctx.Inc(ctrBuildNS(op, ix), int64(charge*1e9))
+					ctx.Add(records, 1)
+					ctx.Add(chargeNS, int64(charge*1e9))
 				}
 				emit(in)
 			},
 			OnClose: func(ctx *mapreduce.TaskContext, emit Emit) {
 				if active {
 					bt.b.Stage(ctx.Node, ctx.Split, entries)
-					ctx.Inc(ctrBuildSplits(op, ix), 1)
+					ctx.Add(splits, 1)
 				}
 			},
 		}
@@ -441,13 +505,10 @@ func buildStage(bt *buildTarget) mapreduce.StageFactory {
 // output size (the paper's Smap term).
 func mapperStage(m mapreduce.MapFunc) mapreduce.StageFactory {
 	return func(sim.NodeID) mapreduce.Stage {
+		out := newCountingEmit(hMapOutRecords, hMapOutBytes)
 		return &mapreduce.FuncStage{
 			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
-				m(ctx, in, func(p Pair) {
-					ctx.Inc(ctrMapOutBytes, int64(p.Size()))
-					ctx.Inc(ctrMapOutRecords, 1)
-					emit(p)
-				})
+				m(ctx, in, out.to(ctx, emit))
 			},
 		}
 	}

@@ -37,6 +37,9 @@ func ctrIdxBytes(op string) string    { return "efind." + op + ".idx.out.bytes" 
 func ctrPostBytes(op string) string   { return "efind." + op + ".post.out.bytes" }
 func ctrPostRecords(op string) string { return "efind." + op + ".post.out.records" }
 
+// ctrCarrierErrors counts shuffled carriers that failed to decode.
+func ctrCarrierErrors(op string) string { return "efind." + op + ".carrier.errors" }
+
 // Per-index counter names, defined by the index client pipeline.
 var (
 	ctrKeys     = ixclient.CtrKeys
@@ -56,6 +59,12 @@ const (
 	ctrMapOutBytes   = "efind.map.out.bytes"
 	ctrMapOutRecords = "efind.map.out.records"
 	fmWidth          = ixclient.FMWidth
+)
+
+// Handles of the Smap counters, bumped per map output record.
+var (
+	hMapOutBytes   = mapreduce.CounterFor(ctrMapOutBytes)
+	hMapOutRecords = mapreduce.CounterFor(ctrMapOutRecords)
 )
 
 // IndexStats aggregates one (operator, index) pair's Table 1 terms.

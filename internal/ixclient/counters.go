@@ -1,9 +1,18 @@
 package ixclient
 
+import (
+	"efind/internal/chaos"
+	"efind/internal/mapreduce"
+)
+
 // Counter name helpers: EFind statistics ride on MapReduce counters
-// (§4.2), namespaced per operator and per index. The client's accounting
-// middleware is the single writer of these counters; the planner's
-// statistics collector (core/stats.go) reads them back by the same names.
+// (§4.2), namespaced per operator and per index. The client is the single
+// writer of these counters, but it never builds a name per lookup: New
+// resolves every name once into a dense mapreduce.Counter (or SketchID)
+// handle, and the per-key paths bump task slots through those handles.
+// Names reappear only when the engine folds a finished task's slots into
+// its TaskStats, where the planner's statistics collector (core/stats.go)
+// reads them back by the same names built here.
 func prefix(op, ix string) string { return "efind." + op + ".ix." + ix + "." }
 
 // CtrKeys counts extracted lookup keys (the numerator of Nik).
@@ -53,3 +62,34 @@ func SkKeys(op, ix string) string { return prefix(op, ix) + "fm" }
 
 // FMWidth is the per-task FM sketch width used for the Theta estimate.
 const FMWidth = 64
+
+// handles are one client's counter and sketch handles, resolved from the
+// names above once, in New.
+type handles struct {
+	keys, keyBytes, valBytes   mapreduce.Counter
+	lookups, serveNS           mapreduce.Counter
+	probes, misses             mapreduce.Counter
+	errors, retries, timeouts  mapreduce.Counter
+	netRoundTrips, indexProbes mapreduce.Counter
+	unavailable                mapreduce.Counter
+	keySketch                  mapreduce.SketchID
+}
+
+func newHandles(op, ix string) handles {
+	return handles{
+		keys:          mapreduce.CounterFor(CtrKeys(op, ix)),
+		keyBytes:      mapreduce.CounterFor(CtrKeyBytes(op, ix)),
+		valBytes:      mapreduce.CounterFor(CtrValBytes(op, ix)),
+		lookups:       mapreduce.CounterFor(CtrLookups(op, ix)),
+		serveNS:       mapreduce.CounterFor(CtrServeNS(op, ix)),
+		probes:        mapreduce.CounterFor(CtrProbes(op, ix)),
+		misses:        mapreduce.CounterFor(CtrMisses(op, ix)),
+		errors:        mapreduce.CounterFor(CtrErrors(op, ix)),
+		retries:       mapreduce.CounterFor(CtrRetries(op, ix)),
+		timeouts:      mapreduce.CounterFor(CtrTimeouts(op, ix)),
+		netRoundTrips: mapreduce.CounterFor(CtrNetRoundTrips(op, ix)),
+		indexProbes:   mapreduce.CounterFor(CtrIndexProbes(op, ix)),
+		unavailable:   mapreduce.CounterFor(chaos.CtrUnavailable),
+		keySketch:     mapreduce.SketchFor(SkKeys(op, ix)),
+	}
+}

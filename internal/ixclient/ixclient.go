@@ -198,6 +198,7 @@ type Client struct {
 	prober  index.Prober        // nil when the accessor has no index-only probe
 	scheme  *index.Scheme       // nil when the accessor is not partitioned
 	opts    Options
+	ctr     handles
 
 	inline Handler // cache → policy → retry → accounting → terminal
 	direct Handler // the same chain without the cache stage
@@ -215,6 +216,7 @@ func New(acc index.Accessor, opts Options) *Client {
 	c := &Client{
 		acc:    acc,
 		opts:   opts,
+		ctr:    newHandles(opts.Op, acc.Name()),
 		real:   make(map[sim.NodeID]*lru.Cache),
 		shadow: make(map[sim.NodeID]*lru.Cache),
 	}
@@ -303,14 +305,13 @@ func (c *Client) Probe(t *mapreduce.TaskContext, key string) (found bool, valueB
 		}
 		return len(vals) > 0, n
 	}
-	op, ix := c.opts.Op, c.acc.Name()
 	serve := c.acc.ServeTime()
 	t.Charge(serve)
-	t.Inc(CtrServeNS(op, ix), int64(serve*1e9))
-	t.Inc(CtrIndexProbes(op, ix), 1)
+	t.Add(c.ctr.serveNS, int64(serve*1e9))
+	t.Add(c.ctr.indexProbes, 1)
 	found, bytes, err := c.prober.Probe(key)
 	if err != nil {
-		t.Inc(CtrErrors(op, ix), 1)
+		t.Add(c.ctr.errors, 1)
 		if c.opts.ErrorPolicy == ErrorFailJob {
 			c.abort(t, err, key)
 		}
@@ -320,7 +321,7 @@ func (c *Client) Probe(t *mapreduce.TaskContext, key string) (found bool, valueB
 	if hosts == nil || !sim.ContainsNode(hosts, t.Node) {
 		// The answer is presence plus a size — a fixed 8-byte reply.
 		t.ChargeNet(float64(len(key) + 4 + 8))
-		t.Inc(CtrNetRoundTrips(op, ix), 1)
+		t.Add(c.ctr.netRoundTrips, 1)
 	}
 	return found, bytes
 }
@@ -328,16 +329,15 @@ func (c *Client) Probe(t *mapreduce.TaskContext, key string) (found bool, valueB
 // CountKey records the per-key statistics (Nik, Sik, the FM sketch) for
 // one extracted lookup key occurrence.
 func (c *Client) CountKey(t *mapreduce.TaskContext, key string) {
-	op, ix := c.opts.Op, c.acc.Name()
-	t.Inc(CtrKeys(op, ix), 1)
-	t.Inc(CtrKeyBytes(op, ix), int64(len(key)))
-	t.Sketch(SkKeys(op, ix), FMWidth).Add(key)
+	t.Add(c.ctr.keys, 1)
+	t.Add(c.ctr.keyBytes, int64(len(key)))
+	t.SketchAt(c.ctr.keySketch, FMWidth).Add(key)
 }
 
 // CountValues records Siv for one key occurrence once its values are
 // known (from the index, the cache, or a shuffle-attached result).
 func (c *Client) CountValues(t *mapreduce.TaskContext, values []string) {
-	t.Inc(CtrValBytes(c.opts.Op, c.acc.Name()), int64(valueBytes(values)))
+	t.Add(c.ctr.valBytes, int64(valueBytes(values)))
 }
 
 // abort fails the running task under ErrorFailJob. ErrorCount errors

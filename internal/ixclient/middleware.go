@@ -31,15 +31,14 @@ func (c *Client) spans(next Handler) Handler {
 // policy stage substitutes for counted errors, exactly as the
 // pre-middleware executor cached the nil result of a failed lookup.
 func (c *Client) cache(next Handler) Handler {
-	op, ix := c.opts.Op, c.acc.Name()
-	probes, misses := CtrProbes(op, ix), CtrMisses(op, ix)
+	ix := c.acc.Name()
 	if c.opts.CacheMode == CacheShadow {
 		return func(r *Request) ([][]string, error) {
 			shadow := c.cacheFor(r.Task.Node, true)
 			for _, k := range r.Keys {
-				r.Task.Inc(probes, 1)
+				r.Task.Add(c.ctr.probes, 1)
 				if _, ok := shadow.Get(k); !ok {
-					r.Task.Inc(misses, 1)
+					r.Task.Add(c.ctr.misses, 1)
 					shadow.Put(k, nil)
 				}
 			}
@@ -62,9 +61,9 @@ func (c *Client) cache(next Handler) Handler {
 			var missIdx []int
 			for i, k := range r.Keys {
 				t.Charge(probeTime)
-				t.Inc(probes, 1)
+				t.Add(c.ctr.probes, 1)
 				if _, ok := shadow.Get(k); !ok {
-					t.Inc(misses, 1)
+					t.Add(c.ctr.misses, 1)
 					shadow.Put(k, nil)
 				}
 				if hit, ok := cache.Get(k); ok {
@@ -99,11 +98,11 @@ func (c *Client) cache(next Handler) Handler {
 		var missIdx []int
 		for i, k := range r.Keys {
 			t.Charge(probeTime)
-			t.Inc(probes, 1)
+			t.Add(c.ctr.probes, 1)
 			if hit, ok := cache.Get(k); ok {
 				out[i] = hit
 			} else {
-				t.Inc(misses, 1)
+				t.Add(c.ctr.misses, 1)
 				missIdx = append(missIdx, i)
 			}
 		}
@@ -133,11 +132,10 @@ func (c *Client) cache(next Handler) Handler {
 // found nothing — the paper-faithful behaviour. ErrorFailJob lets the
 // error climb to the Client entry points, which abort the task.
 func (c *Client) policy(next Handler) Handler {
-	errs := CtrErrors(c.opts.Op, c.acc.Name())
 	return func(r *Request) ([][]string, error) {
 		vals, err := next(r)
 		if err != nil {
-			r.Task.Inc(errs, 1)
+			r.Task.Add(c.ctr.errors, 1)
 			if c.opts.ErrorPolicy == ErrorCount {
 				if vals == nil {
 					vals = make([][]string, len(r.Keys))
@@ -162,14 +160,13 @@ func (c *Client) retry(next Handler) Handler {
 		return next
 	}
 	b := chaos.Backoff{Base: p.Backoff, Factor: p.Factor, Cap: p.Cap, Jitter: p.Jitter, Seed: p.Seed}
-	retries := CtrRetries(c.opts.Op, c.acc.Name())
 	return func(r *Request) ([][]string, error) {
 		vals, err := next(r)
 		for attempt := 0; attempt < p.Max && err != nil && errors.Is(err, index.ErrTransient); attempt++ {
 			if w := b.Wait(r.Keys[0], attempt); w > 0 {
 				r.Task.Charge(w)
 			}
-			r.Task.Inc(retries, 1)
+			r.Task.Add(c.ctr.retries, 1)
 			vals, err = next(r)
 		}
 		return vals, err
@@ -199,7 +196,7 @@ func (c *Client) availability(next Handler) Handler {
 				part = c.scheme.Fn(k)
 			}
 			if plan.PartitionDown(ix, part, now) {
-				r.Task.Inc(chaos.CtrUnavailable, 1)
+				r.Task.Add(c.ctr.unavailable, 1)
 				return make([][]string, len(r.Keys)), &lookupError{key: k, err: chaos.ErrUnavailable}
 			}
 		}
@@ -214,7 +211,6 @@ func (c *Client) availability(next Handler) Handler {
 // serve round and one network round trip per partition group — the
 // deliberate batching cost deviation (DESIGN.md).
 func (c *Client) accounting(next Handler) Handler {
-	op, ix := c.opts.Op, c.acc.Name()
 	return func(r *Request) ([][]string, error) {
 		t := r.Task
 		serve := c.acc.ServeTime()
@@ -222,7 +218,7 @@ func (c *Client) accounting(next Handler) Handler {
 			// The index cannot answer inside the deadline: the client
 			// abandons the access after charging the wait.
 			t.Charge(float64(len(r.Keys)) * d)
-			t.Inc(CtrTimeouts(op, ix), int64(len(r.Keys)))
+			t.Add(c.ctr.timeouts, int64(len(r.Keys)))
 			return make([][]string, len(r.Keys)), &lookupError{key: r.Keys[0], err: ErrTimeout}
 		}
 		vals, err := next(r)
@@ -242,15 +238,14 @@ func (c *Client) accounting(next Handler) Handler {
 // request — serve time per key, and a network round trip per key whose
 // partition has no replica on the task node.
 func (c *Client) chargePerKey(t *mapreduce.TaskContext, keys []string, vals [][]string, serve float64) {
-	op, ix := c.opts.Op, c.acc.Name()
 	for i, k := range keys {
 		t.Charge(serve)
-		t.Inc(CtrServeNS(op, ix), int64(serve*1e9))
-		t.Inc(CtrLookups(op, ix), 1)
+		t.Add(c.ctr.serveNS, int64(serve*1e9))
+		t.Add(c.ctr.lookups, 1)
 		hosts := c.acc.HostsFor(k)
 		if hosts == nil || !sim.ContainsNode(hosts, t.Node) {
 			t.ChargeNet(float64(len(k) + 4 + valueBytes(vals[i])))
-			t.Inc(CtrNetRoundTrips(op, ix), 1)
+			t.Add(c.ctr.netRoundTrips, 1)
 		}
 	}
 }
@@ -260,13 +255,12 @@ func (c *Client) chargePerKey(t *mapreduce.TaskContext, keys []string, vals [][]
 // the serve time amortizes over the group, and remote groups cost one
 // network round trip carrying every key and result of the group.
 func (c *Client) chargeBatched(t *mapreduce.TaskContext, keys []string, vals [][]string, serve float64) {
-	op, ix := c.opts.Op, c.acc.Name()
 	order, groups := c.groupByPartition(keys)
 	for _, g := range order {
 		members := groups[g]
 		t.Charge(serve)
-		t.Inc(CtrServeNS(op, ix), int64(serve*1e9))
-		t.Inc(CtrLookups(op, ix), int64(len(members)))
+		t.Add(c.ctr.serveNS, int64(serve*1e9))
+		t.Add(c.ctr.lookups, int64(len(members)))
 		hosts := c.acc.HostsFor(keys[members[0]])
 		if hosts == nil || !sim.ContainsNode(hosts, t.Node) {
 			bytes := 0
@@ -274,7 +268,7 @@ func (c *Client) chargeBatched(t *mapreduce.TaskContext, keys []string, vals [][
 				bytes += len(keys[i]) + 4 + valueBytes(vals[i])
 			}
 			t.ChargeNet(float64(bytes))
-			t.Inc(CtrNetRoundTrips(op, ix), 1)
+			t.Add(c.ctr.netRoundTrips, 1)
 		}
 	}
 }

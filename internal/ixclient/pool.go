@@ -28,13 +28,11 @@ import (
 type Pool struct {
 	capacity int
 
-	mu     sync.Mutex
-	caches map[poolKey]*lru.Cache
-}
-
-type poolKey struct {
-	index string
-	node  sim.NodeID
+	// nodes keys the pooled caches by node first, then index: the
+	// per-attempt guard and the crash reset touch one node's caches, so
+	// their cost does not grow with the cluster.
+	mu    sync.Mutex
+	nodes map[sim.NodeID]map[string]*lru.Cache
 }
 
 // NewPool returns an empty pool whose per-(index, node) caches hold up to
@@ -43,7 +41,7 @@ func NewPool(capacity int) *Pool {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Pool{capacity: capacity, caches: make(map[poolKey]*lru.Cache)}
+	return &Pool{capacity: capacity, nodes: make(map[sim.NodeID]map[string]*lru.Cache)}
 }
 
 // Capacity returns the per-cache entry bound.
@@ -54,11 +52,15 @@ func (p *Pool) Capacity() int { return p.capacity }
 func (p *Pool) cacheFor(index string, node sim.NodeID) *lru.Cache {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := poolKey{index: index, node: node}
-	cc, ok := p.caches[k]
+	byIndex, ok := p.nodes[node]
+	if !ok {
+		byIndex = make(map[string]*lru.Cache)
+		p.nodes[node] = byIndex
+	}
+	cc, ok := byIndex[index]
 	if !ok {
 		cc = lru.New(p.capacity)
-		p.caches[k] = cc
+		byIndex[index] = cc
 	}
 	return cc
 }
@@ -73,11 +75,9 @@ func (p *Pool) SnapshotNode(node sim.NodeID) func() {
 	p.mu.Lock()
 	var caches []*lru.Cache
 	var undos []*lru.Undo
-	for k, cc := range p.caches {
-		if k.node == node {
-			caches = append(caches, cc)
-			undos = append(undos, cc.Begin())
-		}
+	for _, cc := range p.nodes[node] {
+		caches = append(caches, cc)
+		undos = append(undos, cc.Begin())
 	}
 	p.mu.Unlock()
 	return func() {
@@ -89,8 +89,8 @@ func (p *Pool) SnapshotNode(node sim.NodeID) func() {
 			known[cc] = true
 		}
 		p.mu.Lock()
-		for k, cc := range p.caches {
-			if k.node == node && !known[cc] {
+		for _, cc := range p.nodes[node] {
+			if !known[cc] {
 				cc.Reset()
 			}
 		}
@@ -104,11 +104,7 @@ func (p *Pool) SnapshotNode(node sim.NodeID) func() {
 func (p *Pool) ResetNode(node sim.NodeID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k := range p.caches {
-		if k.node == node {
-			delete(p.caches, k)
-		}
-	}
+	delete(p.nodes, node)
 }
 
 // PoolEntry is the serializable state of one pooled cache, produced by
@@ -127,23 +123,29 @@ type PoolEntry struct {
 // order. Empty caches with history (hits/misses) are included; a Dump of
 // a fresh pool is empty.
 func (p *Pool) Dump() []PoolEntry {
+	type pooled struct {
+		index string
+		node  sim.NodeID
+		cache *lru.Cache
+	}
 	p.mu.Lock()
-	keys := make([]poolKey, 0, len(p.caches))
-	for k := range p.caches {
-		keys = append(keys, k)
+	var all []pooled
+	for node, byIndex := range p.nodes {
+		for index, cc := range byIndex {
+			all = append(all, pooled{index, node, cc})
+		}
 	}
 	p.mu.Unlock()
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].index != keys[b].index {
-			return keys[a].index < keys[b].index
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].index != all[b].index {
+			return all[a].index < all[b].index
 		}
-		return keys[a].node < keys[b].node
+		return all[a].node < all[b].node
 	})
-	out := make([]PoolEntry, 0, len(keys))
-	for _, k := range keys {
-		cc := p.cacheFor(k.index, k.node)
-		e := PoolEntry{Index: k.index, Node: k.node}
-		e.Keys, e.Values, e.Hits, e.Misses = cc.Dump()
+	out := make([]PoolEntry, 0, len(all))
+	for _, c := range all {
+		e := PoolEntry{Index: c.index, Node: c.node}
+		e.Keys, e.Values, e.Hits, e.Misses = c.cache.Dump()
 		out = append(out, e)
 	}
 	return out
@@ -153,7 +155,7 @@ func (p *Pool) Dump() []PoolEntry {
 // named in entries are dropped.
 func (p *Pool) Restore(entries []PoolEntry) {
 	p.mu.Lock()
-	p.caches = make(map[poolKey]*lru.Cache, len(entries))
+	p.nodes = make(map[sim.NodeID]map[string]*lru.Cache)
 	p.mu.Unlock()
 	for _, e := range entries {
 		cc := p.cacheFor(e.Index, e.Node)
@@ -166,10 +168,12 @@ func (p *Pool) Restore(entries []PoolEntry) {
 func (p *Pool) Stats() (hits, misses int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, cc := range p.caches {
-		h, m := cc.Stats()
-		hits += h
-		misses += m
+	for _, byIndex := range p.nodes {
+		for _, cc := range byIndex {
+			h, m := cc.Stats()
+			hits += h
+			misses += m
+		}
 	}
 	return hits, misses
 }

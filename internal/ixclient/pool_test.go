@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"efind/internal/lru"
 	"efind/internal/sim"
 )
 
@@ -176,6 +177,58 @@ func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 			snap := cc.Snapshot()
 			cc.Put("hot", nil)
 			cc.Restore(snap)
+		}
+	})
+}
+
+// BenchmarkPoolSnapshotNode10kNodes is the pool's twin of
+// BenchmarkSnapshotNode10kNodes: the per-attempt guard of the cross-job
+// pool at 10k warmed nodes × 2 indices. "by-node" is the shipping
+// Pool.SnapshotNode, which reaches one node's caches directly; "flat-scan"
+// reproduces the replaced (index, node)-keyed layout, which scanned every
+// pooled cache under the pool mutex on every attempt.
+func BenchmarkPoolSnapshotNode10kNodes(b *testing.B) {
+	const nodes = 10000
+	const warm = 128
+	indices := []string{"kv", "geo"}
+
+	p := NewPool(0)
+	type flatKey struct {
+		index string
+		node  sim.NodeID
+	}
+	flat := make(map[flatKey]*lru.Cache, nodes*len(indices))
+	for n := 0; n < nodes; n++ {
+		for _, ix := range indices {
+			cc := p.cacheFor(ix, sim.NodeID(n))
+			for i := 0; i < warm; i++ {
+				cc.Put(fmt.Sprintf("k%06d", i), nil)
+			}
+			flat[flatKey{ix, sim.NodeID(n)}] = cc
+		}
+	}
+
+	b.Run("by-node", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			node := sim.NodeID(i % nodes)
+			rollback := p.SnapshotNode(node)
+			p.cacheFor("kv", node).Put("hot", nil)
+			rollback()
+		}
+	})
+	b.Run("flat-scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			node := sim.NodeID(i % nodes)
+			var undos []*lru.Undo
+			for k, cc := range flat {
+				if k.node == node {
+					undos = append(undos, cc.Begin())
+				}
+			}
+			flat[flatKey{"kv", node}].Put("hot", nil)
+			for _, u := range undos {
+				u.Rollback()
+			}
 		}
 	})
 }

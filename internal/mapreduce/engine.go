@@ -340,10 +340,10 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		}
 	}
 
-	ctx.Inc(CounterInputRecords, int64(len(records)))
-	ctx.Inc(CounterInputBytes, int64(chunk.Bytes))
-	ctx.Inc(CounterOutputRecords, int64(outRecords))
-	ctx.Inc(CounterOutputBytes, int64(out.Bytes))
+	ctx.Add(ctrInputRecords, int64(len(records)))
+	ctx.Add(ctrInputBytes, int64(chunk.Bytes))
+	ctx.Add(ctrOutputRecords, int64(outRecords))
+	ctx.Add(ctrOutputBytes, int64(out.Bytes))
 	sp = ctx.StartSpan("cpu", "cpu")
 	ctx.Charge(e.Cluster.CPUTime(len(records)+outRecords, float64(chunk.Bytes+out.Bytes)))
 	sp.End()
@@ -391,8 +391,8 @@ func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) {
 		}
 		out.Buckets[bi] = combined
 	}
-	ctx.Inc(CounterCombineInRecords, int64(inRecords))
-	ctx.Inc(CounterCombineOutRecords, int64(totalRecords(out.Buckets)))
+	ctx.Add(ctrCombineInRecords, int64(inRecords))
+	ctx.Add(ctrCombineOutRecords, int64(totalRecords(out.Buckets)))
 	ctx.Charge(e.Cluster.CPUTime(inRecords, float64(inBytes)))
 }
 
@@ -679,10 +679,10 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, outputs []*MapO
 	pipe.close()
 	sp.End()
 
-	ctx.Inc(CounterInputRecords, int64(len(input)))
-	ctx.Inc(CounterInputBytes, int64(inBytes))
-	ctx.Inc(CounterOutputRecords, int64(outRecords))
-	ctx.Inc(CounterOutputBytes, int64(outBytes))
+	ctx.Add(ctrInputRecords, int64(len(input)))
+	ctx.Add(ctrInputBytes, int64(inBytes))
+	ctx.Add(ctrOutputRecords, int64(outRecords))
+	ctx.Add(ctrOutputBytes, int64(outBytes))
 	sp = ctx.StartSpan("cpu", "cpu")
 	ctx.Charge(e.Cluster.CPUTime(len(input)+outRecords, float64(inBytes+outBytes)))
 	sp.End()
@@ -725,25 +725,32 @@ func (e *Engine) FinishMapOnly(job *Job, mp *MapPhaseResult) (*Result, error) {
 	return res, nil
 }
 
-// taskStats snapshots a finished task's context.
+// taskStats snapshots a finished task's context. It is the one place
+// task counters and sketches turn back into names: every touched counter
+// slot — zero-delta touches included — and every created sketch is
+// written out by name.
 func (e *Engine) taskStats(ctx *TaskContext) TaskStats {
 	st := TaskStats{
 		ID:       ctx.TaskID,
 		Kind:     ctx.Kind,
 		Node:     ctx.Node,
-		Counters: make(map[string]int64, len(ctx.counters)),
+		Counters: make(map[string]int64, len(ctx.touched)),
 		Duration: ctx.extra,
 		BodyTime: ctx.extra,
 		Spans:    ctx.spans,
 	}
-	for k, v := range ctx.counters {
-		st.Counters[k] = v
+	all := interned.all()
+	for _, h := range ctx.touched {
+		st.Counters[all[h]] = ctx.slots[h].n
 	}
-	if len(ctx.sketches) > 0 {
-		st.Sketches = make(map[string][]uint64, len(ctx.sketches))
-		for k, s := range ctx.sketches {
-			st.Sketches[k] = s.Vectors()
+	for h, s := range ctx.sketches {
+		if s == nil {
+			continue
 		}
+		if st.Sketches == nil {
+			st.Sketches = make(map[string][]uint64)
+		}
+		st.Sketches[all[h]] = s.Vectors()
 	}
 	return st
 }

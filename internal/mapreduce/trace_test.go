@@ -99,6 +99,24 @@ func TestSpanHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestCounterHotPathAllocs pins the dense-handle promise: once a task has
+// touched a counter and created a sketch, bumping the counter through its
+// handle and adding a key to the sketch allocate nothing.
+func TestCounterHotPathAllocs(t *testing.T) {
+	ctx := NewTaskContext(nil, 0, 0, MapTask)
+	h := CounterFor("test.hot.records")
+	sk := SketchFor("test.hot.fm")
+	ctx.Add(h, 1)
+	ctx.SketchAt(sk, 64).Add("warm")
+	allocs := testing.AllocsPerRun(1000, func() {
+		ctx.Add(h, 3)
+		ctx.SketchAt(sk, 64).Add("key-000042")
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Add/SketchAt path allocates %.1f per op, want 0", allocs)
+	}
+}
+
 // TestChromeTraceGolden pins the exact Chrome trace-event serialization
 // of a tiny deterministic job. Regenerate with -update-golden after an
 // intentional format change.

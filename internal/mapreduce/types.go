@@ -117,9 +117,13 @@ type TaskContext struct {
 	// Kind is MapTask or ReduceTask.
 	Kind TaskKind
 
-	cluster  *sim.Cluster
-	counters map[string]int64
-	sketches map[string]*sketch.FM
+	cluster *sim.Cluster
+	// slots holds the task's counters indexed by Counter handle, touched
+	// lists the handles in first-touch order, and sketches holds the
+	// task's FM sketches indexed by SketchID (nil where unused).
+	slots    []counterSlot
+	touched  []Counter
+	sketches []*sketch.FM
 	base     float64
 	extra    float64
 	traced   bool
@@ -130,36 +134,16 @@ type TaskContext struct {
 // the engine.
 func NewTaskContext(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind) *TaskContext {
 	return &TaskContext{
-		Node:     node,
-		TaskID:   id,
-		Split:    id,
-		Kind:     kind,
-		cluster:  cluster,
-		counters: make(map[string]int64),
-		sketches: make(map[string]*sketch.FM),
+		Node:    node,
+		TaskID:  id,
+		Split:   id,
+		Kind:    kind,
+		cluster: cluster,
 	}
 }
 
 // Cluster returns the simulated cluster the task runs in.
 func (c *TaskContext) Cluster() *sim.Cluster { return c.cluster }
-
-// Inc adds delta to the named counter (the paper's globally visible
-// MapReduce counters, §4.2).
-func (c *TaskContext) Inc(name string, delta int64) { c.counters[name] += delta }
-
-// Counter returns the current task-local value of the named counter.
-func (c *TaskContext) Counter(name string) int64 { return c.counters[name] }
-
-// Sketch returns the task's named FM sketch, creating it on first use with
-// the given width.
-func (c *TaskContext) Sketch(name string, width int) *sketch.FM {
-	s, ok := c.sketches[name]
-	if !ok {
-		s = sketch.New(width)
-		c.sketches[name] = s
-	}
-	return s
-}
 
 // Charge adds virtual seconds to the task's duration (index serve time,
 // cache probes, anything beyond the engine's own I/O and CPU charges).
@@ -290,4 +274,14 @@ const (
 	CounterOutputBytes       = "task.output.bytes"
 	CounterCombineInRecords  = "task.combine.in.records"
 	CounterCombineOutRecords = "task.combine.out.records"
+)
+
+// Handles of the built-in counters.
+var (
+	ctrInputRecords      = CounterFor(CounterInputRecords)
+	ctrInputBytes        = CounterFor(CounterInputBytes)
+	ctrOutputRecords     = CounterFor(CounterOutputRecords)
+	ctrOutputBytes       = CounterFor(CounterOutputBytes)
+	ctrCombineInRecords  = CounterFor(CounterCombineInRecords)
+	ctrCombineOutRecords = CounterFor(CounterCombineOutRecords)
 )
